@@ -13,7 +13,9 @@ use dhl_obs::{Histogram, MetricsRegistry, MetricsSnapshot, SloSummary, Stopwatch
 use dhl_rng::{DeterministicRng, Rng};
 use serde::{Deserialize, Serialize};
 
-use dhl_sim::{ConfigError, DockControllerFaultSpec, DockRecoveryPolicy, EndpointKind, SimConfig};
+use dhl_sim::{
+    ConfigError, DockControllerFaultSpec, DockRecoveryPolicy, EndpointKind, MovementCost, SimConfig,
+};
 use dhl_units::{Bytes, Joules, Seconds};
 
 use crate::admission::{
@@ -305,6 +307,13 @@ pub enum SchedulerError {
     /// validation and scheduling — a corrupt data map, surfaced as a typed
     /// error instead of a panic.
     CorruptPlacement(DatasetId),
+    /// A request's arrival or dwell time is not finite, so it has no place
+    /// on the timeline.
+    InvalidRequestTime(RequestId),
+    /// An installed awareness holds a value the track timeline cannot
+    /// represent: a downtime window that is not a finite, ordered interval,
+    /// or a non-finite verify or recovery time. Names the offending field.
+    InvalidAwareness(&'static str),
 }
 
 impl core::fmt::Display for SchedulerError {
@@ -321,6 +330,10 @@ impl core::fmt::Display for SchedulerError {
                     "placement lost dataset {id:?} mid-schedule (corrupt data map)"
                 )
             }
+            Self::InvalidRequestTime(id) => {
+                write!(f, "request {id:?} has a non-finite arrival or dwell time")
+            }
+            Self::InvalidAwareness(field) => write!(f, "invalid scheduler awareness: {field}"),
         }
     }
 }
@@ -345,16 +358,6 @@ struct Queued {
     carts: usize,
     /// Dataset size in bytes (0.0 when unknown).
     bytes: f64,
-}
-
-/// The deterministic per-run fault-sampling streams and verify cost, built
-/// once per run by [`Scheduler::fault_streams`] so the closed- and
-/// open-loop paths cannot drift in how they seed them.
-struct FaultStreams {
-    loss_rng: Option<DeterministicRng>,
-    reship_rng: Option<DeterministicRng>,
-    dock_rng: Option<DeterministicRng>,
-    verify_s: f64,
 }
 
 /// Per-tenant open-loop accumulator row: SLO counters, the delivery-latency
@@ -391,19 +394,13 @@ impl TenantTable {
         }
     }
 
-    /// The row for `id`, created by `init` on first use.
-    fn get_or_insert(&mut self, id: u32, init: impl FnOnce() -> TenantCell) -> &mut TenantCell {
+    /// The row for `tenant`, created holding `tokens` retry tokens on its
+    /// first offer.
+    fn row(&mut self, tenant: TenantId, tokens: u32) -> &mut TenantCell {
+        let init = || (TenantSlo::new(tenant), Histogram::new(), tokens);
         match self {
-            Self::Dense(rows) => rows[id as usize].get_or_insert_with(init),
-            Self::Sparse(rows) => rows.entry(id).or_insert_with(init),
-        }
-    }
-
-    /// The row for `id`, if the tenant has been offered work.
-    fn get_mut(&mut self, id: u32) -> Option<&mut TenantCell> {
-        match self {
-            Self::Dense(rows) => rows.get_mut(id as usize).and_then(Option::as_mut),
-            Self::Sparse(rows) => rows.get_mut(&id),
+            Self::Dense(rows) => rows[tenant.0 as usize].get_or_insert_with(init),
+            Self::Sparse(rows) => rows.entry(tenant.0).or_insert_with(init),
         }
     }
 
@@ -571,59 +568,55 @@ impl Scheduler {
         id
     }
 
-    /// Registers known track downtime windows and builds the deterministic
-    /// fault/integrity/dock-crash sampling streams — the setup both serving
-    /// paths share (deduplicated so they cannot drift).
-    fn fault_streams(&mut self) -> FaultStreams {
-        // Register known downtime windows so departures (and clients asking
-        // the tracker) can route around them.
-        if let Some(faults) = &self.faults {
-            for &(from, to) in &faults.downtime {
-                self.availability.record_track_downtime(from, to);
+    /// Validates the installed awareness and every queued request, so bad
+    /// input surfaces as a typed error before any movement is scheduled
+    /// instead of as a panic mid-run.
+    fn validate(&self) -> Result<(), SchedulerError> {
+        let unordered =
+            |&(from, to): &(Seconds, Seconds)| !(from.is_finite() && to.is_finite() && from <= to);
+        let (faults, dock) = (&self.faults, &self.dock_recovery);
+        let invalid = if faults.iter().flat_map(|f| &f.downtime).any(unordered) {
+            Some("FaultAwareness::downtime")
+        } else if self.integrity.iter().any(|i| !i.verify_time.is_finite()) {
+            Some("IntegrityAwareness::verify_time")
+        } else if dock.iter().any(|d| !d.recovery_time.is_finite()) {
+            Some("DockRecoveryAwareness::recovery_time")
+        } else {
+            None
+        };
+        if let Some(field) = invalid {
+            return Err(SchedulerError::InvalidAwareness(field));
+        }
+        for &Queued { id, req, .. } in &self.queue {
+            if self.placement.carts_of(req.dataset).is_none() {
+                return Err(SchedulerError::UnknownDataset(req.dataset));
+            }
+            match self.cfg.endpoints.get(req.destination) {
+                Some(ep) if ep.kind == EndpointKind::Rack => {}
+                _ => return Err(SchedulerError::InvalidDestination(req.destination)),
+            }
+            if !(req.arrival.is_finite() && req.dwell.is_finite()) {
+                return Err(SchedulerError::InvalidRequestTime(id));
             }
         }
-        FaultStreams {
-            loss_rng: self
-                .faults
-                .as_ref()
-                .map(|f| DeterministicRng::seed_from_u64(f.seed)),
-            reship_rng: self
-                .integrity
-                .as_ref()
-                .map(|i| DeterministicRng::seed_from_u64(i.seed)),
-            dock_rng: self
-                .dock_recovery
-                .as_ref()
-                .map(|d| DeterministicRng::seed_from_u64(d.seed)),
-            verify_s: self
-                .integrity
-                .as_ref()
-                .map_or(0.0, |i| i.verify_time.seconds()),
-        }
-    }
-
-    /// Validates a request against the placement and topology.
-    fn check(&self, request: &TransferRequest) -> Result<(), SchedulerError> {
-        if self.placement.carts_of(request.dataset).is_none() {
-            return Err(SchedulerError::UnknownDataset(request.dataset));
-        }
-        match self.cfg.endpoints.get(request.destination) {
-            Some(ep) if ep.kind == EndpointKind::Rack => Ok(()),
-            _ => Err(SchedulerError::InvalidDestination(request.destination)),
-        }
+        Ok(())
     }
 
     /// Runs all queued requests to completion and returns the schedule.
     ///
     /// Scheduling policy: higher [`Priority`] first, FIFO within a class;
     /// cart movements serialise on the single track; each destination
-    /// admits at most `docks` simultaneously dwelling carts.
+    /// admits at most `docks` simultaneously dwelling carts. With an
+    /// [`AdmissionSpec`] installed the requests are instead served open
+    /// loop (see [`Scheduler::with_admission`]); both modes run every cart
+    /// through the same round trip.
     ///
     /// # Errors
     ///
-    /// The first invalid request ([`SchedulerError::UnknownDataset`] or
-    /// [`SchedulerError::InvalidDestination`]); no movements are scheduled
-    /// in that case.
+    /// The first invalid input — an unknown dataset, a non-rack
+    /// destination, a non-finite arrival or dwell, or an awareness window
+    /// or duration the track cannot hold; no movements are scheduled in
+    /// that case.
     pub fn run(&mut self) -> ScheduleOutcome {
         self.try_run().expect("submitted requests were validated")
     }
@@ -634,19 +627,254 @@ impl Scheduler {
     ///
     /// See [`Scheduler::run`].
     pub fn try_run(&mut self) -> Result<ScheduleOutcome, SchedulerError> {
-        if let Some(spec) = self.admission.clone() {
-            return self.try_run_open_loop(&spec);
+        self.validate()?;
+        let (faults, integrity) = (self.faults.as_ref(), self.integrity.as_ref());
+        let dock = self.dock_recovery.as_ref();
+        let mut timeline =
+            Timeline::new(&self.cfg, &mut self.availability, faults, integrity, dock);
+        let (queue, metrics, h) = (&self.queue, &mut self.metrics, self.handles);
+        let report = match &self.admission {
+            None => {
+                timeline.serve_closed(queue, self.policy, faults, integrity, metrics, h)?;
+                None
+            }
+            Some(spec) => {
+                Some(timeline.serve_open(queue, &self.placement, self.policy, spec, metrics, h)?)
+            }
+        };
+        self.queue.clear();
+        Ok(timeline.finish(&mut self.metrics, h, report))
+    }
+}
+
+/// One seeded Bernoulli sampling stream. An absent awareness is a stream of
+/// probability 0, which never consumes a draw, so it samples exactly like
+/// the stream not existing.
+struct Stream {
+    /// Clamped into `[0, 1]` once, at run start.
+    probability: f64,
+    rng: DeterministicRng,
+}
+
+impl Stream {
+    fn new(probability_and_seed: Option<(f64, u64)>) -> Self {
+        let (probability, seed) = probability_and_seed.unwrap_or((0.0, 0));
+        Self {
+            probability: probability.clamp(0.0, 1.0),
+            rng: DeterministicRng::seed_from_u64(seed),
         }
-        for q in &self.queue {
-            self.check(&q.req)?;
+    }
+
+    fn fires(&mut self) -> bool {
+        self.rng.random_bool(self.probability)
+    }
+}
+
+/// Why a cart round trip delivered nothing: the cause picks the retry
+/// counter it is charged to (and, on the closed loop, the attempt budget).
+#[derive(Copy, Clone)]
+enum Failure {
+    /// Lost in transit.
+    Lost,
+    /// Rejected by verify-on-dock.
+    Rejected,
+}
+
+impl RequestOutcome {
+    /// An empty tally for a request about to be served.
+    fn begin(id: RequestId) -> Self {
+        Self {
+            id,
+            started: Seconds::new(f64::INFINITY),
+            delivered: Seconds::ZERO,
+            completed: Seconds::ZERO,
+            deliveries: 0,
+            energy: Joules::ZERO,
+            redeliveries: 0,
+            reshipments: 0,
+            abandoned: 0,
+            dock_crashes: 0,
         }
+    }
+
+    fn count_retry(&mut self, failure: Failure) {
+        match failure {
+            Failure::Lost => self.redeliveries += 1,
+            Failure::Rejected => self.reshipments += 1,
+        }
+    }
+}
+
+/// One run's cart timeline on the shared track: the single round-trip step
+/// both serving loops are built on. The loops differ only in which request
+/// they serve next and how they budget retries.
+struct Timeline<'a> {
+    cfg: &'a SimConfig,
+    availability: &'a mut AvailabilityTracker,
+    track_free: Seconds,
+    track_busy: Seconds,
+    /// Destination docks: earliest-free times per endpoint, flat.
+    docks: DockBank,
+    trips: TripCache,
+    loss: Stream,
+    crash: Stream,
+    reship: Stream,
+    /// Dock stall per controller crash (0 without dock-recovery awareness).
+    recovery: Seconds,
+    /// Scrub time per docking (0 without integrity awareness).
+    verify: Seconds,
+    outcomes: Vec<RequestOutcome>,
+    watch: Stopwatch,
+}
+
+impl<'a> Timeline<'a> {
+    fn new(
+        cfg: &'a SimConfig,
+        availability: &'a mut AvailabilityTracker,
+        faults: Option<&FaultAwareness>,
+        integrity: Option<&IntegrityAwareness>,
+        dock_recovery: Option<&DockRecoveryAwareness>,
+    ) -> Self {
+        // Register known downtime windows so departures (and clients asking
+        // the tracker) can route around them.
+        for &(from, to) in faults.iter().flat_map(|f| &f.downtime) {
+            availability.record_track_downtime(from, to);
+        }
+        Self {
+            cfg,
+            availability,
+            track_free: Seconds::ZERO,
+            track_busy: Seconds::ZERO,
+            docks: DockBank::new(cfg),
+            trips: TripCache::new(cfg),
+            loss: Stream::new(faults.map(|f| (f.loss_probability, f.seed))),
+            crash: Stream::new(dock_recovery.map(|d| (d.crash_probability_per_docking, d.seed))),
+            reship: Stream::new(integrity.map(|i| (i.reshipment_probability, i.seed))),
+            recovery: dock_recovery.map_or(Seconds::ZERO, |d| d.recovery_time.max(Seconds::ZERO)),
+            verify: integrity.map_or(Seconds::ZERO, |i| i.verify_time),
+            outcomes: Vec::new(),
+            watch: Stopwatch::start(),
+        }
+    }
+
+    /// One cart round trip for `req`, departing no earlier than
+    /// `not_before`: out to the destination, docking, dwell, and home again.
+    /// Charges the tally's start, completion, energy, crashes and
+    /// deliveries; returns why nothing was delivered, if so. The cart is
+    /// home exactly when the track next frees.
+    fn round_trip(
+        &mut self,
+        req: &TransferRequest,
+        cost: MovementCost,
+        not_before: Seconds,
+        tally: &mut RequestOutcome,
+    ) -> Option<Failure> {
+        // Outbound: wait for arrival, track, a destination dock, any retry
+        // backoff, and any track downtime window to clear.
+        let tracker = &mut *self.availability;
+        let dock = self.docks.earliest_mut(req.destination);
+        let ready = req.arrival.max(self.track_free).max(Seconds::new(*dock));
+        let depart = tracker.next_track_up(ready.max(not_before));
+        let arrive = depart + cost.total_time;
+        tally.started = tally.started.min(depart);
+        self.track_free = arrive;
+        self.track_busy += cost.total_time;
+
+        let lost = self.loss.fires();
+        // A dock-controller crash strikes only when a loaded cart actually
+        // docks: the docking stalls for the recovery latency and the dock is
+        // down for the window.
+        let recovery = if !lost && self.crash.fires() {
+            tally.dock_crashes += 1;
+            tracker.record_dock_downtime(req.destination, arrive, arrive + self.recovery);
+            self.recovery
+        } else {
+            Seconds::ZERO
+        };
+        // Verify-on-dock happens only for payloads that arrived (after any
+        // controller recovery): the scrub may reject the delivery, sending
+        // the cart home for a reshipment.
+        let rejected = !lost && self.reship.fires();
+
+        // Dwell (skipped for a dead payload; a rejected payload still pays
+        // for its recovery and scrub), then return.
+        let verified = arrive + recovery + self.verify;
+        let ready_back = if lost {
+            arrive
+        } else if rejected {
+            verified
+        } else {
+            verified + req.dwell
+        };
+        let back_depart = tracker.next_track_up(ready_back.max(self.track_free));
+        let home = back_depart + cost.total_time;
+        self.track_free = home;
+        self.track_busy += cost.total_time;
+        *dock = (back_depart + self.cfg.undock_time).seconds();
+        tally.completed = tally.completed.max(home);
+
+        tally.energy += cost.energy + cost.energy;
+        tracker.record_transit(req.dataset, depart, arrive);
+        tracker.record_transit(req.dataset, back_depart, home);
+
+        if lost {
+            Some(Failure::Lost)
+        } else if rejected {
+            Some(Failure::Rejected)
+        } else {
+            tally.deliveries += 1;
+            // A delivery counts once its recovery (if any) and scrub have
+            // passed.
+            tally.delivered = tally.delivered.max(verified);
+            None
+        }
+    }
+
+    /// Records a served request's counters and latency histograms and keeps
+    /// its outcome.
+    fn record(
+        &mut self,
+        metrics: &mut MetricsRegistry,
+        h: SchedMetrics,
+        arrival: Seconds,
+        outcome: RequestOutcome,
+    ) {
+        metrics.add(h.requests, 1);
+        metrics.add(h.deliveries, outcome.deliveries);
+        metrics.add(h.redeliveries, outcome.redeliveries);
+        metrics.add(h.reshipments, outcome.reshipments);
+        metrics.add(h.abandoned, outcome.abandoned);
+        metrics.add(h.dock_crashes, outcome.dock_crashes);
+        // Queueing latency until the first cart could depart: the
+        // placement-latency figure a client of the scheduler feels.
+        metrics.record(h.placement_latency_s, (outcome.started - arrival).seconds());
+        if outcome.deliveries > 0 {
+            metrics.record(
+                h.delivery_latency_s,
+                (outcome.delivered - arrival).seconds(),
+            );
+        }
+        self.outcomes.push(outcome);
+    }
+
+    /// Closed-loop planning: every queued request runs, in priority order,
+    /// and a failed cart retries at the head of its own request until the
+    /// failure cause's attempt budget runs dry.
+    fn serve_closed(
+        &mut self,
+        queue: &[Queued],
+        policy: Policy,
+        faults: Option<&FaultAwareness>,
+        integrity: Option<&IntegrityAwareness>,
+        metrics: &mut MetricsRegistry,
+        h: SchedMetrics,
+    ) -> Result<(), SchedulerError> {
         // Priority first; within a class, FIFO by arrival or shortest job
         // (fewest carts, precomputed at submit) depending on the policy;
         // submission order breaks remaining ties (stable sort).
-        let policy = self.policy;
-        let mut order: Vec<usize> = (0..self.queue.len()).collect();
+        let mut order: Vec<usize> = (0..queue.len()).collect();
         order.sort_by(|&a, &b| {
-            let (qa, qb) = (&self.queue[a], &self.queue[b]);
+            let (qa, qb) = (&queue[a], &queue[b]);
             let class = qb.req.priority.cmp(&qa.req.priority);
             let within = match policy {
                 Policy::PriorityFifo => {
@@ -656,220 +884,36 @@ impl Scheduler {
             };
             class.then(within)
         });
-
-        let mut streams = self.fault_streams();
-        let Self {
-            cfg,
-            placement: _,
-            queue,
-            availability,
-            faults,
-            integrity,
-            dock_recovery,
-            metrics,
-            handles,
-            ..
-        } = &mut *self;
-        let handles = *handles;
-
-        let watch = Stopwatch::start();
-        let mut track_free = 0.0f64;
-        let mut track_busy = 0.0f64;
-        // Destination docks: earliest-free times per endpoint, flat.
-        let mut dock_free = DockBank::new(cfg);
-        let mut trips = TripCache::new(cfg);
-        let mut outcomes = Vec::new();
-        let mut total_energy = Joules::ZERO;
+        let loss_budget = faults.map_or(1, |f| f.max_attempts.max(1));
+        let reship_budget = integrity.map_or(1, |i| i.max_attempts.max(1));
 
         for idx in order {
             let Queued { id, req, carts, .. } = queue[idx];
-            // Requests were validated above, so an unknown cart count here
-            // means the data map itself is corrupt — surface it, don't
-            // panic.
+            // Requests were validated, so an unknown cart count here means
+            // the data map itself is corrupt — surface it, don't panic.
             if carts == usize::MAX {
                 return Err(SchedulerError::CorruptPlacement(req.dataset));
             }
-            let cost = trips.cost(cfg, req.destination);
-
-            let mut started = f64::INFINITY;
-            let mut delivered = 0.0f64;
-            let mut completed = 0.0f64;
-            let mut energy = Joules::ZERO;
-            let mut deliveries = 0u64;
-            let mut redeliveries = 0u64;
-            let mut reshipments = 0u64;
-            let mut abandoned = 0u64;
-            let mut dock_crashes = 0u64;
-
+            let cost = self.trips.cost(self.cfg, req.destination);
+            let mut tally = RequestOutcome::begin(id);
             for _ in 0..carts {
-                // Lost carts re-enter at the head of *this* request (same
-                // priority slot), retrying until the attempt budget runs dry.
                 let mut attempt = 1u32;
-                loop {
-                    // Outbound: wait for arrival, track, a destination dock,
-                    // and any track downtime window to clear.
-                    let dock = dock_free.earliest_mut(req.destination);
-                    let mut depart = req.arrival.seconds().max(track_free).max(*dock);
-                    depart = availability.next_track_up(Seconds::new(depart)).seconds();
-                    let arrive = depart + cost.total_time.seconds();
-                    started = started.min(depart);
-                    track_free = arrive;
-                    track_busy += cost.total_time.seconds();
-
-                    let lost = match (&*faults, streams.loss_rng.as_mut()) {
-                        (Some(f), Some(rng)) => rng.random_bool(f.loss_probability.clamp(0.0, 1.0)),
-                        _ => false,
-                    };
-                    // A dock-controller crash strikes only when a loaded
-                    // cart actually docks: the docking stalls for the
-                    // recovery latency and the dock is down for the window.
-                    let mut recovery_s = 0.0;
-                    if !lost {
-                        if let (Some(d), Some(rng)) = (&*dock_recovery, streams.dock_rng.as_mut()) {
-                            if rng.random_bool(d.crash_probability_per_docking.clamp(0.0, 1.0)) {
-                                dock_crashes += 1;
-                                recovery_s = d.recovery_time.seconds().max(0.0);
-                                availability.record_dock_downtime(
-                                    req.destination,
-                                    Seconds::new(arrive),
-                                    Seconds::new(arrive + recovery_s),
-                                );
-                            }
-                        }
-                    }
-                    // Verify-on-dock happens only for payloads that arrived
-                    // (after any controller recovery): the scrub may reject
-                    // the delivery, sending the cart home for a reshipment.
-                    let reshipped = if lost {
-                        false
-                    } else {
-                        match (&*integrity, streams.reship_rng.as_mut()) {
-                            (Some(i), Some(rng)) => {
-                                rng.random_bool(i.reshipment_probability.clamp(0.0, 1.0))
-                            }
-                            _ => false,
-                        }
-                    };
-
-                    // Dwell (skipped for a dead payload; a rejected payload
-                    // still pays for its recovery and scrub), then return.
-                    let ready_back = if lost {
-                        arrive
-                    } else if reshipped {
-                        arrive + recovery_s + streams.verify_s
-                    } else {
-                        arrive + recovery_s + streams.verify_s + req.dwell.seconds()
-                    };
-                    let mut back_depart = ready_back.max(track_free);
-                    back_depart = availability
-                        .next_track_up(Seconds::new(back_depart))
-                        .seconds();
-                    let home = back_depart + cost.total_time.seconds();
-                    track_free = home;
-                    track_busy += cost.total_time.seconds();
-                    *dock = back_depart + cfg.undock_time.seconds();
-                    completed = completed.max(home);
-
-                    energy += cost.energy + cost.energy;
-                    availability.record_transit(
-                        req.dataset,
-                        Seconds::new(depart),
-                        Seconds::new(arrive),
-                    );
-                    availability.record_transit(
-                        req.dataset,
-                        Seconds::new(back_depart),
-                        Seconds::new(home),
-                    );
-
-                    if !lost && !reshipped {
-                        deliveries += 1;
-                        // A delivery counts once its recovery (if any) and
-                        // scrub have passed.
-                        delivered = delivered.max(arrive + recovery_s + streams.verify_s);
-                        break;
-                    }
-                    let budget = if lost {
-                        faults.as_ref().map_or(1, |f| f.max_attempts.max(1))
-                    } else {
-                        integrity.as_ref().map_or(1, |i| i.max_attempts.max(1))
+                while let Some(failure) = self.round_trip(&req, cost, Seconds::ZERO, &mut tally) {
+                    let budget = match failure {
+                        Failure::Lost => loss_budget,
+                        Failure::Rejected => reship_budget,
                     };
                     if attempt >= budget {
-                        abandoned += 1;
+                        tally.abandoned += 1;
                         break;
                     }
                     attempt += 1;
-                    if lost {
-                        redeliveries += 1;
-                    } else {
-                        reshipments += 1;
-                    }
+                    tally.count_retry(failure);
                 }
             }
-
-            total_energy += energy;
-            metrics.add(handles.requests, 1);
-            metrics.add(handles.deliveries, deliveries);
-            metrics.add(handles.redeliveries, redeliveries);
-            metrics.add(handles.reshipments, reshipments);
-            metrics.add(handles.abandoned, abandoned);
-            metrics.add(handles.dock_crashes, dock_crashes);
-            // Queueing latency until the first cart could depart: the
-            // placement-latency figure a client of the scheduler feels.
-            metrics.record(handles.placement_latency_s, started - req.arrival.seconds());
-            if deliveries > 0 {
-                metrics.record(
-                    handles.delivery_latency_s,
-                    delivered - req.arrival.seconds(),
-                );
-            }
-            outcomes.push(RequestOutcome {
-                id,
-                started: Seconds::new(started),
-                delivered: Seconds::new(delivered),
-                completed: Seconds::new(completed),
-                deliveries,
-                energy,
-                redeliveries,
-                reshipments,
-                abandoned,
-                dock_crashes,
-            });
+            self.record(metrics, h, req.arrival, tally);
         }
-
-        queue.clear();
-        // `total_cmp` instead of `partial_cmp(..).expect("finite")`: the
-        // times are finite by construction, so the order is unchanged, but
-        // a NaN can no longer panic the sort.
-        outcomes.sort_by(|a, b| a.completed.seconds().total_cmp(&b.completed.seconds()));
-        let makespan = outcomes
-            .last()
-            .map(|o| o.completed)
-            .unwrap_or(Seconds::ZERO);
-        let track_utilisation = if makespan.seconds() > 0.0 {
-            track_busy / makespan.seconds()
-        } else {
-            0.0
-        };
-        metrics.set(handles.makespan_s, makespan.seconds());
-        metrics.set(handles.track_utilisation, track_utilisation);
-        metrics.set(
-            handles.track_downtime_s,
-            availability.total_track_downtime().seconds(),
-        );
-        let dock_downtime_s: f64 = (0..cfg.endpoints.len())
-            .map(|ep| availability.total_dock_downtime(ep).seconds())
-            .sum();
-        metrics.set(handles.dock_downtime_s, dock_downtime_s);
-        metrics.set(handles.wall_time_s, watch.elapsed_secs());
-        Ok(ScheduleOutcome {
-            track_utilisation,
-            completed: outcomes,
-            makespan,
-            total_energy,
-            admission: None,
-            metrics: metrics.snapshot(),
-        })
+        Ok(())
     }
 
     /// Open-loop serving under an [`AdmissionSpec`]: arrivals are admitted
@@ -878,57 +922,35 @@ impl Scheduler {
     /// serves the best admitted request whenever it frees up, and retries
     /// draw on per-tenant token buckets with deterministic exponential
     /// backoff + jitter. Requests that are rejected or shed never run and
-    /// produce no [`RequestOutcome`]; they are accounted on the
-    /// [`AdmissionReport`].
+    /// produce no [`RequestOutcome`]; they are accounted on the returned
+    /// [`AdmissionReport`] (all but its goodput, which needs the makespan).
     ///
     /// In this mode the retry budget comes from the spec's
     /// [`RetryBudgetSpec`](crate::admission::RetryBudgetSpec) — the
     /// `max_attempts` fields of any installed fault/integrity awareness
     /// only drive the loss/reshipment *sampling*, not the attempt cap.
-    fn try_run_open_loop(
+    fn serve_open(
         &mut self,
+        queue: &[Queued],
+        placement: &Placement,
+        policy: Policy,
         spec: &AdmissionSpec,
-    ) -> Result<ScheduleOutcome, SchedulerError> {
-        for q in &self.queue {
-            self.check(&q.req)?;
-        }
+        metrics: &mut MetricsRegistry,
+        h: SchedMetrics,
+    ) -> Result<AdmissionReport, SchedulerError> {
         // Open loop: arrivals are considered strictly in arrival order
         // (submission order breaks ties), not priority order — priority
         // instead decides who is served next among the admitted. This is
         // also what makes the indexed ServiceQueue exact: pushes into it
         // are monotone in (arrival, id).
-        let mut order: Vec<usize> = (0..self.queue.len()).collect();
+        let mut order: Vec<usize> = (0..queue.len()).collect();
         order.sort_by(|&a, &b| {
-            let (ra, rb) = (&self.queue[a].req, &self.queue[b].req);
+            let (ra, rb) = (&queue[a].req, &queue[b].req);
             ra.arrival
                 .partial_cmp(&rb.arrival)
                 .expect("finite")
                 .then(a.cmp(&b))
         });
-
-        let policy = self.policy;
-        let mut streams = self.fault_streams();
-        let Self {
-            cfg,
-            placement,
-            queue,
-            availability,
-            faults,
-            integrity,
-            dock_recovery,
-            metrics,
-            handles,
-            ..
-        } = &mut *self;
-        let handles = *handles;
-
-        let watch = Stopwatch::start();
-        let mut track_free = 0.0f64;
-        let mut track_busy = 0.0f64;
-        let mut dock_free = DockBank::new(cfg);
-        let mut trips = TripCache::new(cfg);
-        let mut outcomes = Vec::new();
-        let mut total_energy = Joules::ZERO;
 
         let mut pending = ServiceQueue::new(policy);
         let mut report = AdmissionReport::default();
@@ -936,11 +958,14 @@ impl Scheduler {
         // dense-indexed by tenant id when the id space allows.
         let mut tenants = TenantTable::for_run(queue);
         let max_attempts = spec.retry.max_attempts_per_request.max(1);
+        let tokens = spec.retry.tokens_per_tenant;
+        let verify_s = self.verify.seconds();
         let mut cursor = 0usize;
 
         while cursor < order.len() || !pending.is_empty() {
             // The serving frontier: when work is pending, the track's next
             // free instant; when idle, jump to the next arrival.
+            let track_free = self.track_free.seconds();
             let mut now = track_free;
             if pending.is_empty() {
                 now = now.max(queue[order[cursor]].req.arrival.seconds());
@@ -955,345 +980,174 @@ impl Scheduler {
                     break;
                 }
                 cursor += 1;
-                let Queued {
-                    id,
-                    mut req,
-                    carts: carts_len,
-                    bytes,
-                } = queue[idx];
+                let Queued { id, mut req, .. } = queue[idx];
+                let (carts, bytes) = (queue[idx].carts, queue[idx].bytes);
                 let arrival_s = req.arrival.seconds();
-                let slot = tenants.get_or_insert(req.tenant.0, || {
-                    (
-                        TenantSlo::new(req.tenant),
-                        Histogram::new(),
-                        spec.retry.tokens_per_tenant,
-                    )
-                });
+                let slot = tenants.row(req.tenant, tokens);
                 slot.0.offered += 1;
                 report.offered += 1;
-                metrics.add(handles.offered, 1);
+                metrics.add(h.offered, 1);
                 report.offered_bytes += bytes;
-                if carts_len == usize::MAX {
+                if carts == usize::MAX {
                     return Err(SchedulerError::CorruptPlacement(req.dataset));
                 }
+                let cost = self.trips.cost(self.cfg, req.destination);
+                let trip = cost.total_time.seconds();
+                let degrade_policy = spec.policy == OverloadPolicy::DegradeToBestEffort;
 
-                let mut degrade = false;
                 // Deadline feasibility at the door: earliest estimated
                 // delivery = wait for the track + serve the whole backlog +
                 // this request's own carts up to the last one docking.
-                if spec.deadline_aware {
-                    if let Some(deadline) = req.deadline {
-                        let trip = trips.cost(cfg, req.destination).total_time.seconds();
-                        let backlog: f64 = pending.backlog_service_s();
-                        let per_cart = 2.0 * trip + streams.verify_s + req.dwell.seconds();
+                let late = spec.deadline_aware
+                    && req.deadline.is_some_and(|deadline| {
+                        let per_cart = 2.0 * trip + verify_s + req.dwell.seconds();
                         let deliver_est = arrival_s.max(track_free)
-                            + backlog
-                            + carts_len.saturating_sub(1) as f64 * per_cart
+                            + pending.backlog_service_s()
+                            + carts.saturating_sub(1) as f64 * per_cart
                             + trip
-                            + streams.verify_s;
-                        if deliver_est > deadline.seconds() {
-                            match spec.policy {
-                                OverloadPolicy::DegradeToBestEffort => degrade = true,
-                                _ => {
-                                    report.rejected_deadline += 1;
-                                    report.rejected_ids.push(id);
-                                    slot.0.rejected += 1;
-                                    metrics.add(handles.rejected_deadline, 1);
-                                    continue;
-                                }
-                            }
-                        }
-                    }
-                }
+                            + verify_s;
+                        deliver_est > deadline.seconds()
+                    });
+                let mut degrade = late;
 
                 // Hard queue bounds, then dock-saturation backpressure.
-                let tenant_pending = pending.tenant_pending(req.tenant);
                 let queue_full = pending.len() >= spec.max_pending_global
-                    || tenant_pending >= spec.max_pending_per_tenant;
+                    || pending.tenant_pending(req.tenant) >= spec.max_pending_per_tenant;
                 let dock_saturated = !queue_full
                     && spec.dock_busy_watermark < 1.0
-                    && match dock_free.busy_at(req.destination, arrival_s) {
-                        Some((busy, total)) => {
-                            busy as f64 / total as f64 >= spec.dock_busy_watermark
-                        }
-                        None => false,
-                    };
-                if queue_full || dock_saturated {
-                    let admitted_via_shed = if spec.policy == OverloadPolicy::ShedLowestPriority {
-                        if let Some(victim) = pending.shed_victim(req.priority) {
-                            report.shed += 1;
-                            report.shed_ids.push(victim.id);
-                            metrics.add(handles.shed, 1);
-                            if let Some((slo, _, _)) = tenants.get_mut(victim.req.tenant.0) {
-                                slo.shed += 1;
-                            }
-                            true
-                        } else {
-                            false
-                        }
+                    && self.docks.busy_at(req.destination, arrival_s).is_some_and(
+                        |(busy, total)| busy as f64 / total as f64 >= spec.dock_busy_watermark,
+                    );
+                let refused = if late && !degrade_policy {
+                    Some((&mut report.rejected_deadline, h.rejected_deadline))
+                } else if queue_full || dock_saturated {
+                    let victim = if spec.policy == OverloadPolicy::ShedLowestPriority {
+                        pending.shed_victim(req.priority)
                     } else {
-                        false
+                        None
                     };
-                    let degrade_through =
-                        !queue_full && spec.policy == OverloadPolicy::DegradeToBestEffort;
-                    if !admitted_via_shed && !degrade_through {
-                        let slot = tenants.get_mut(req.tenant.0).expect("inserted above");
-                        slot.0.rejected += 1;
-                        report.rejected_ids.push(id);
-                        if queue_full {
-                            report.rejected_queue_full += 1;
-                            metrics.add(handles.rejected_queue_full, 1);
-                        } else {
-                            report.rejected_backpressure += 1;
-                            metrics.add(handles.rejected_backpressure, 1);
-                        }
-                        continue;
+                    let degrade_through = !queue_full && degrade_policy;
+                    degrade |= degrade_through;
+                    if let Some(victim) = victim {
+                        report.shed += 1;
+                        report.shed_ids.push(victim.id);
+                        metrics.add(h.shed, 1);
+                        tenants.row(victim.req.tenant, tokens).0.shed += 1;
+                        None
+                    } else if degrade_through {
+                        None
+                    } else if queue_full {
+                        Some((&mut report.rejected_queue_full, h.rejected_queue_full))
+                    } else {
+                        Some((&mut report.rejected_backpressure, h.rejected_backpressure))
                     }
-                    if degrade_through {
-                        degrade = true;
-                    }
+                } else {
+                    None
+                };
+                let slot = &mut tenants.row(req.tenant, tokens).0;
+                if let Some((count, counter)) = refused {
+                    *count += 1;
+                    report.rejected_ids.push(id);
+                    slot.rejected += 1;
+                    metrics.add(counter, 1);
+                    continue;
                 }
 
+                slot.admitted += 1;
+                report.admitted += 1;
+                metrics.add(h.admitted, 1);
                 if degrade {
                     req.priority = Priority::Background;
                     req.deadline = None;
+                    slot.degraded += 1;
                     report.degraded += 1;
-                    metrics.add(handles.degraded, 1);
+                    metrics.add(h.degraded, 1);
                 }
-                let slot = tenants.get_mut(req.tenant.0).expect("inserted above");
-                slot.0.admitted += 1;
-                if degrade {
-                    slot.0.degraded += 1;
-                }
-                report.admitted += 1;
-                metrics.add(handles.admitted, 1);
-                let trip = trips.cost(cfg, req.destination).total_time.seconds();
-                let service_s =
-                    carts_len as f64 * (2.0 * trip + streams.verify_s + req.dwell.seconds());
+                let service_s = carts as f64 * (2.0 * trip + verify_s + req.dwell.seconds());
                 pending.push(ServiceEntry {
                     id,
                     req,
-                    carts: carts_len,
+                    carts,
                     service_s,
                 });
             }
 
             // Service: run the best admitted request's carts, with
             // budgeted, backed-off retries.
-            let Some(entry) = pending.pop_next() else {
+            let Some(ServiceEntry { id, req, .. }) = pending.pop_next() else {
                 continue;
             };
-            let (id, req) = (entry.id, entry.req);
             let carts = placement
                 .carts_of(req.dataset)
                 .ok_or(SchedulerError::CorruptPlacement(req.dataset))?;
-            let cost = trips.cost(cfg, req.destination);
-
-            let mut started = f64::INFINITY;
-            let mut delivered = 0.0f64;
-            let mut completed = 0.0f64;
-            let mut energy = Joules::ZERO;
-            let mut deliveries = 0u64;
-            let mut redeliveries = 0u64;
-            let mut reshipments = 0u64;
-            let mut abandoned = 0u64;
-            let mut dock_crashes = 0u64;
+            let cost = self.trips.cost(self.cfg, req.destination);
+            let mut tally = RequestOutcome::begin(id);
             let mut delivered_bytes = 0.0f64;
 
             for &cart in carts {
                 let mut attempt = 1u32;
                 // A retried cart may not depart again before its backoff
                 // expires.
-                let mut not_before = 0.0f64;
+                let mut not_before = Seconds::ZERO;
                 loop {
-                    let dock = dock_free.earliest_mut(req.destination);
-                    let mut depart = req
-                        .arrival
-                        .seconds()
-                        .max(track_free)
-                        .max(*dock)
-                        .max(not_before);
-                    depart = availability.next_track_up(Seconds::new(depart)).seconds();
-                    let arrive = depart + cost.total_time.seconds();
-                    started = started.min(depart);
-                    track_free = arrive;
-                    track_busy += cost.total_time.seconds();
-
-                    let lost = match (&*faults, streams.loss_rng.as_mut()) {
-                        (Some(f), Some(rng)) => rng.random_bool(f.loss_probability.clamp(0.0, 1.0)),
-                        _ => false,
-                    };
-                    let mut recovery_s = 0.0;
-                    if !lost {
-                        if let (Some(d), Some(rng)) = (&*dock_recovery, streams.dock_rng.as_mut()) {
-                            if rng.random_bool(d.crash_probability_per_docking.clamp(0.0, 1.0)) {
-                                dock_crashes += 1;
-                                recovery_s = d.recovery_time.seconds().max(0.0);
-                                availability.record_dock_downtime(
-                                    req.destination,
-                                    Seconds::new(arrive),
-                                    Seconds::new(arrive + recovery_s),
-                                );
-                            }
-                        }
-                    }
-                    let reshipped = if lost {
-                        false
-                    } else {
-                        match (&*integrity, streams.reship_rng.as_mut()) {
-                            (Some(i), Some(rng)) => {
-                                rng.random_bool(i.reshipment_probability.clamp(0.0, 1.0))
-                            }
-                            _ => false,
-                        }
-                    };
-
-                    let ready_back = if lost {
-                        arrive
-                    } else if reshipped {
-                        arrive + recovery_s + streams.verify_s
-                    } else {
-                        arrive + recovery_s + streams.verify_s + req.dwell.seconds()
-                    };
-                    let mut back_depart = ready_back.max(track_free);
-                    back_depart = availability
-                        .next_track_up(Seconds::new(back_depart))
-                        .seconds();
-                    let home = back_depart + cost.total_time.seconds();
-                    track_free = home;
-                    track_busy += cost.total_time.seconds();
-                    *dock = back_depart + cfg.undock_time.seconds();
-                    completed = completed.max(home);
-
-                    energy += cost.energy + cost.energy;
-                    availability.record_transit(
-                        req.dataset,
-                        Seconds::new(depart),
-                        Seconds::new(arrive),
-                    );
-                    availability.record_transit(
-                        req.dataset,
-                        Seconds::new(back_depart),
-                        Seconds::new(home),
-                    );
-
-                    if !lost && !reshipped {
-                        deliveries += 1;
-                        delivered = delivered.max(arrive + recovery_s + streams.verify_s);
+                    let Some(failure) = self.round_trip(&req, cost, not_before, &mut tally) else {
                         delivered_bytes += placement
                             .contents_of(cart)
                             .ok_or(SchedulerError::CorruptPlacement(req.dataset))?
                             .bytes
                             .as_f64();
                         break;
-                    }
+                    };
                     // Failed attempt: retry only inside the attempt budget
                     // AND while the tenant still holds retry tokens —
                     // graceful degradation, not a retry storm.
                     if attempt >= max_attempts {
-                        abandoned += 1;
+                        tally.abandoned += 1;
                         break;
                     }
-                    let tokens = &mut tenants
-                        .get_mut(req.tenant.0)
-                        .expect("tenant registered at admission")
-                        .2;
-                    if *tokens == 0 {
-                        abandoned += 1;
+                    let (slo, _, left) = tenants.row(req.tenant, tokens);
+                    if *left == 0 {
+                        tally.abandoned += 1;
                         report.retry_tokens_exhausted += 1;
-                        metrics.add(handles.retry_tokens_exhausted, 1);
+                        metrics.add(h.retry_tokens_exhausted, 1);
                         break;
                     }
-                    *tokens -= 1;
+                    *left -= 1;
+                    slo.retries += 1;
                     attempt += 1;
-                    if lost {
-                        redeliveries += 1;
-                    } else {
-                        reshipments += 1;
-                    }
+                    tally.count_retry(failure);
                     report.retries += 1;
-                    metrics.add(handles.retries, 1);
+                    metrics.add(h.retries, 1);
                     let backoff = retry_backoff(&spec.retry, spec.seed, id, attempt);
-                    metrics.record(handles.retry_backoff_s, backoff.seconds());
-                    not_before = home + backoff.seconds();
-                    if let Some((slo, _, _)) = tenants.get_mut(req.tenant.0) {
-                        slo.retries += 1;
-                    }
+                    metrics.record(h.retry_backoff_s, backoff.seconds());
+                    not_before = self.track_free + backoff;
                 }
-            }
-
-            total_energy += energy;
-            metrics.add(handles.requests, 1);
-            metrics.add(handles.deliveries, deliveries);
-            metrics.add(handles.redeliveries, redeliveries);
-            metrics.add(handles.reshipments, reshipments);
-            metrics.add(handles.abandoned, abandoned);
-            metrics.add(handles.dock_crashes, dock_crashes);
-            metrics.record(handles.placement_latency_s, started - req.arrival.seconds());
-            if deliveries > 0 {
-                metrics.record(
-                    handles.delivery_latency_s,
-                    delivered - req.arrival.seconds(),
-                );
             }
 
             report.served += 1;
-            report.abandoned_shards += abandoned;
+            report.abandoned_shards += tally.abandoned;
             report.delivered_bytes += delivered_bytes;
-            let fully_delivered = deliveries as usize == carts.len();
-            let slot = tenants
-                .get_mut(req.tenant.0)
-                .expect("tenant registered at admission");
-            slot.0.served += 1;
-            slot.0.abandoned_shards += abandoned;
-            slot.0.delivered_bytes += delivered_bytes;
-            if deliveries > 0 {
-                slot.1.record(delivered - req.arrival.seconds());
+            let (slo, latency, _) = tenants.row(req.tenant, tokens);
+            slo.served += 1;
+            slo.abandoned_shards += tally.abandoned;
+            slo.delivered_bytes += delivered_bytes;
+            if tally.deliveries > 0 {
+                latency.record((tally.delivered - req.arrival).seconds());
             }
             if let Some(deadline) = req.deadline {
-                if fully_delivered && delivered <= deadline.seconds() {
-                    slot.0.deadline_hits += 1;
+                if tally.deliveries as usize == carts.len() && tally.delivered <= deadline {
+                    slo.deadline_hits += 1;
                     report.deadline_hits += 1;
-                    metrics.add(handles.deadline_hits, 1);
+                    metrics.add(h.deadline_hits, 1);
                 } else {
-                    slot.0.deadline_misses += 1;
+                    slo.deadline_misses += 1;
                     report.deadline_misses += 1;
-                    metrics.add(handles.deadline_misses, 1);
+                    metrics.add(h.deadline_misses, 1);
                 }
             }
-
-            outcomes.push(RequestOutcome {
-                id,
-                started: Seconds::new(started),
-                delivered: Seconds::new(delivered),
-                completed: Seconds::new(completed),
-                deliveries,
-                energy,
-                redeliveries,
-                reshipments,
-                abandoned,
-                dock_crashes,
-            });
+            self.record(metrics, h, req.arrival, tally);
         }
 
-        queue.clear();
-        // `total_cmp` for the same reason as the closed-loop sort: finite
-        // by construction, NaN-proof by choice.
-        outcomes.sort_by(|a, b| a.completed.seconds().total_cmp(&b.completed.seconds()));
-        let makespan = outcomes
-            .last()
-            .map(|o| o.completed)
-            .unwrap_or(Seconds::ZERO);
-        let track_utilisation = if makespan.seconds() > 0.0 {
-            track_busy / makespan.seconds()
-        } else {
-            0.0
-        };
-        report.goodput_bytes_per_s = if makespan.seconds() > 0.0 {
-            report.delivered_bytes / makespan.seconds()
-        } else {
-            0.0
-        };
         report.tenants = tenants
             .into_rows()
             .into_iter()
@@ -1302,26 +1156,49 @@ impl Scheduler {
                 slo
             })
             .collect();
-        metrics.set(handles.makespan_s, makespan.seconds());
-        metrics.set(handles.track_utilisation, track_utilisation);
-        metrics.set(handles.goodput_bytes_per_s, report.goodput_bytes_per_s);
-        metrics.set(
-            handles.track_downtime_s,
-            availability.total_track_downtime().seconds(),
-        );
-        let dock_downtime_s: f64 = (0..cfg.endpoints.len())
+        Ok(report)
+    }
+
+    /// Ends the run: outcomes in completion order, makespan, utilisation,
+    /// the open loop's goodput, and the end-of-run gauges.
+    fn finish(
+        self,
+        metrics: &mut MetricsRegistry,
+        h: SchedMetrics,
+        mut admission: Option<AdmissionReport>,
+    ) -> ScheduleOutcome {
+        let (availability, mut outcomes) = (self.availability, self.outcomes);
+        // Summed in service order, as a running total would.
+        let total_energy = outcomes.iter().fold(Joules::ZERO, |sum, o| sum + o.energy);
+        // `total_cmp` instead of `partial_cmp(..).expect("finite")`: the
+        // times are finite by construction, so the order is unchanged, but
+        // a NaN can no longer panic the sort.
+        outcomes.sort_by(|a, b| a.completed.seconds().total_cmp(&b.completed.seconds()));
+        let makespan = outcomes.last().map_or(Seconds::ZERO, |o| o.completed);
+        let span = makespan.seconds();
+        let per_second = |x: f64| if span > 0.0 { x / span } else { 0.0 };
+        let track_utilisation = per_second(self.track_busy.seconds());
+        if let Some(report) = &mut admission {
+            report.goodput_bytes_per_s = per_second(report.delivered_bytes);
+            metrics.set(h.goodput_bytes_per_s, report.goodput_bytes_per_s);
+        }
+        metrics.set(h.makespan_s, makespan.seconds());
+        metrics.set(h.track_utilisation, track_utilisation);
+        let track_downtime_s = availability.total_track_downtime().seconds();
+        metrics.set(h.track_downtime_s, track_downtime_s);
+        let dock_downtime_s: f64 = (0..self.cfg.endpoints.len())
             .map(|ep| availability.total_dock_downtime(ep).seconds())
             .sum();
-        metrics.set(handles.dock_downtime_s, dock_downtime_s);
-        metrics.set(handles.wall_time_s, watch.elapsed_secs());
-        Ok(ScheduleOutcome {
-            track_utilisation,
+        metrics.set(h.dock_downtime_s, dock_downtime_s);
+        metrics.set(h.wall_time_s, self.watch.elapsed_secs());
+        ScheduleOutcome {
             completed: outcomes,
             makespan,
             total_energy,
-            admission: Some(report),
+            track_utilisation,
+            admission,
             metrics: metrics.snapshot(),
-        })
+        }
     }
 }
 
@@ -1469,6 +1346,108 @@ mod tests {
             sched2.try_run(),
             Err(SchedulerError::InvalidDestination(0))
         ));
+    }
+
+    /// Runs one valid request plus `bad` through both serving loops and
+    /// returns each loop's result; the scheduler may be configured by
+    /// `with`.
+    fn run_both_loops(
+        bad: Option<TransferRequest>,
+        with: impl Fn(Scheduler) -> Scheduler,
+    ) -> Vec<Result<ScheduleOutcome, SchedulerError>> {
+        [false, true]
+            .into_iter()
+            .map(|open| {
+                let (sched, small, _) = setup();
+                let mut sched = with(sched);
+                if open {
+                    sched = sched.with_admission(AdmissionSpec::default());
+                }
+                sched.submit(TransferRequest::new(
+                    small,
+                    1,
+                    Priority::Normal,
+                    Seconds::ZERO,
+                ));
+                if let Some(bad) = bad {
+                    sched.submit(bad);
+                }
+                sched.try_run()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn nan_arrival_is_a_typed_error() {
+        let (_, small, _) = setup();
+        let bad = TransferRequest::new(small, 1, Priority::Normal, Seconds::new(f64::NAN));
+        for result in run_both_loops(Some(bad), |s| s) {
+            assert_eq!(
+                result,
+                Err(SchedulerError::InvalidRequestTime(RequestId(1)))
+            );
+        }
+    }
+
+    #[test]
+    fn infinite_dwell_is_a_typed_error() {
+        let (_, small, _) = setup();
+        let bad = TransferRequest::new(small, 1, Priority::Normal, Seconds::ZERO)
+            .with_dwell(Seconds::new(f64::INFINITY));
+        for result in run_both_loops(Some(bad), |s| s) {
+            assert_eq!(
+                result,
+                Err(SchedulerError::InvalidRequestTime(RequestId(1)))
+            );
+        }
+    }
+
+    #[test]
+    fn reversed_downtime_window_is_a_typed_error() {
+        let reversed = vec![(Seconds::new(200.0), Seconds::new(100.0))];
+        let with = |s: Scheduler| s.with_faults(FaultAwareness::downtime_only(reversed.clone()));
+        for result in run_both_loops(None, with) {
+            assert_eq!(
+                result,
+                Err(SchedulerError::InvalidAwareness("FaultAwareness::downtime"))
+            );
+        }
+    }
+
+    #[test]
+    fn infinite_verify_time_is_a_typed_error() {
+        let with = |s: Scheduler| {
+            s.with_integrity(IntegrityAwareness::verification_only(Seconds::new(
+                f64::INFINITY,
+            )))
+        };
+        for result in run_both_loops(None, with) {
+            assert_eq!(
+                result,
+                Err(SchedulerError::InvalidAwareness(
+                    "IntegrityAwareness::verify_time"
+                ))
+            );
+        }
+    }
+
+    #[test]
+    fn infinite_recovery_time_is_a_typed_error() {
+        let with = |s: Scheduler| {
+            s.with_dock_recovery(DockRecoveryAwareness {
+                crash_probability_per_docking: 1.0,
+                recovery_time: Seconds::new(f64::INFINITY),
+                seed: 3,
+            })
+        };
+        for result in run_both_loops(None, with) {
+            assert_eq!(
+                result,
+                Err(SchedulerError::InvalidAwareness(
+                    "DockRecoveryAwareness::recovery_time"
+                ))
+            );
+        }
     }
 
     #[test]

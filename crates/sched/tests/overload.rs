@@ -1,17 +1,20 @@
 //! Property-based tests for overload-robust open-loop serving: goodput
 //! behaviour past the saturation knee, retry-backoff determinism across
-//! thread counts and checkpoint/resume, and bit-identity of the disabled
-//! path.
+//! thread counts and checkpoint/resume, bit-identity of the disabled path,
+//! and agreement of the open and closed loops when admission never binds.
 
 use dhl_rng::check::forall;
 use dhl_sched::admission::{
     retry_backoff, AdmissionSpec, OverloadPolicy, RetryBudgetSpec, TenantId,
 };
 use dhl_sched::placement::Placement;
-use dhl_sched::scheduler::{FaultAwareness, Priority, RequestId, Scheduler, TransferRequest};
+use dhl_sched::scheduler::{
+    DockRecoveryAwareness, FaultAwareness, IntegrityAwareness, Priority, RequestId, Scheduler,
+    TransferRequest,
+};
 use dhl_sched::{evaluate_scenarios, Scenario};
 use dhl_sim::{ArrivalGenerator, ArrivalSpec, SimConfig};
-use dhl_storage::datasets::{Dataset, DatasetKind};
+use dhl_storage::datasets::{self, Dataset, DatasetKind};
 use dhl_units::{Bytes, Seconds};
 
 fn dataset(tb: f64) -> Dataset {
@@ -227,6 +230,80 @@ fn disabled_admission_is_bit_identical_to_closed_loop() {
             assert_eq!(plain.makespan, tagged.makespan);
             assert_eq!(plain.total_energy, tagged.total_energy);
             assert_eq!(plain.track_utilisation, tagged.track_utilisation);
+        },
+    );
+}
+
+/// (d) Both serving loops run the same cart round trip. With equal
+/// priorities, FIFO order, an attempt budget of 1 on both sides, and an
+/// admission spec that can never bind, the open loop serves requests in the
+/// closed loop's order, so every fault draw lands on the same cart and the
+/// two schedules must agree exactly — losses, reshipments, dock crashes and
+/// a downtime window included.
+#[test]
+fn open_loop_that_never_binds_matches_the_closed_loop() {
+    forall(
+        "open_loop_that_never_binds_matches_the_closed_loop",
+        40,
+        |g| {
+            let seed = g.u64_in(0, u64::MAX);
+            let picks: Vec<bool> = (0..30).map(|_| g.bool()).collect();
+            for gap in [0.0, 5.0, 40.0, 400.0] {
+                let run = |open: bool| {
+                    let mut placement = Placement::new(Bytes::from_terabytes(256.0));
+                    let small = placement.store(datasets::youtube_8m());
+                    let big = placement.store(datasets::common_crawl());
+                    let mut sched = Scheduler::new(SimConfig::paper_default(), placement)
+                        .unwrap()
+                        .with_faults(FaultAwareness {
+                            loss_probability: 0.1,
+                            max_attempts: 1,
+                            seed,
+                            downtime: vec![(Seconds::new(300.0), Seconds::new(700.0))],
+                        })
+                        .with_integrity(IntegrityAwareness {
+                            reshipment_probability: 0.1,
+                            verify_time: Seconds::new(2.0),
+                            max_attempts: 1,
+                            seed: seed ^ 1,
+                        })
+                        .with_dock_recovery(DockRecoveryAwareness {
+                            crash_probability_per_docking: 0.1,
+                            recovery_time: Seconds::new(30.0),
+                            seed: seed ^ 2,
+                        });
+                    if open {
+                        sched = sched.with_admission(AdmissionSpec {
+                            max_pending_global: 1 << 20,
+                            max_pending_per_tenant: 1 << 20,
+                            policy: OverloadPolicy::Reject,
+                            deadline_aware: false,
+                            dock_busy_watermark: 1.0,
+                            retry: RetryBudgetSpec {
+                                max_attempts_per_request: 1,
+                                ..RetryBudgetSpec::default()
+                            },
+                            seed,
+                        });
+                    }
+                    for (i, &pick_big) in picks.iter().enumerate() {
+                        let dataset = if pick_big { big } else { small };
+                        let arrival = Seconds::new(i as f64 * gap);
+                        sched.submit(TransferRequest::new(dataset, 1, Priority::Normal, arrival));
+                    }
+                    sched.try_run().unwrap()
+                };
+                let (closed, open) = (run(false), run(true));
+                let report = open.admission.as_ref().unwrap();
+                assert_eq!(report.admitted, picks.len() as u64, "spec must never bind");
+                assert_eq!(closed.completed, open.completed, "gap {gap}");
+                assert_eq!(closed.makespan, open.makespan, "gap {gap}");
+                assert_eq!(closed.total_energy, open.total_energy, "gap {gap}");
+                assert_eq!(
+                    closed.track_utilisation, open.track_utilisation,
+                    "gap {gap}"
+                );
+            }
         },
     );
 }
