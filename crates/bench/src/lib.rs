@@ -729,8 +729,9 @@ pub fn events_per_sec_cases() -> Vec<report_file::BenchCase> {
 /// - **end-to-end open-loop runs** — full `Scheduler::try_run` sweeps under
 ///   admission control: a saturating Poisson mix (1 M arrivals, 100 k in
 ///   fast mode), a high-tenant-count variant, a retry-heavy variant with
-///   in-transit losses, and a shortest-job-first variant over mixed cart
-///   counts.
+///   in-transit losses, a shortest-job-first variant over mixed cart
+///   counts, and a deadline-aware mix at two deadline slacks that hold the
+///   pending backlog about 80 and about 6,000 deep.
 ///
 /// The derived requests/sec rates are printed to stderr alongside the
 /// recorded ns/iter cases.
@@ -738,7 +739,9 @@ pub fn events_per_sec_cases() -> Vec<report_file::BenchCase> {
 /// # Panics
 ///
 /// Panics if the indexed structure fails to beat the reference pin by ≥5×
-/// on the churn case — the regression this family exists to catch.
+/// on the churn case, or if a deadline-aware arrival costs more than 3× as
+/// much at the deep backlog as at the shallow one (the deadline check must
+/// not walk the backlog) — the regressions this family exists to catch.
 #[must_use]
 #[allow(clippy::too_many_lines)]
 pub fn requests_per_sec_cases() -> Vec<report_file::BenchCase> {
@@ -869,12 +872,14 @@ pub fn requests_per_sec_cases() -> Vec<report_file::BenchCase> {
 
     // End-to-end open-loop sweeps: saturating Poisson arrival streams
     // pushed through the full admission controller and serving loop.
+    // `deadline_slack` 0 issues no deadlines.
     let open_loop_run = |policy: Policy,
                          arrivals: usize,
                          tenants: u32,
                          spec: AdmissionSpec,
                          faults: Option<FaultAwareness>,
-                         mixed_sizes: bool|
+                         mixed_sizes: bool,
+                         deadline_slack: f64|
      -> ScheduleOutcome {
         let mut p = Placement::new(Bytes::from_terabytes(256.0));
         let small = p.store(datasets::laion_5b()); // 1 cart
@@ -889,8 +894,9 @@ pub fn requests_per_sec_cases() -> Vec<report_file::BenchCase> {
         // Metrics off for the timed runs: the family measures the serving
         // path, not the observability registry's hash maps.
         sched.set_metrics_enabled(false);
-        let arrival_spec =
-            ArrivalSpec::poisson(4.0 / 17.2, Seconds::new(1e15), 11).with_tenants(tenants);
+        let arrival_spec = ArrivalSpec::poisson(4.0 / 17.2, Seconds::new(1e15), 11)
+            .with_tenants(tenants)
+            .with_deadlines(Seconds::new(deadline_slack), 0.5);
         for (i, arrival) in ArrivalGenerator::new(&arrival_spec)
             .take(arrivals)
             .enumerate()
@@ -905,10 +911,13 @@ pub fn requests_per_sec_cases() -> Vec<report_file::BenchCase> {
                 1 => Priority::Normal,
                 _ => Priority::Urgent,
             };
-            sched.submit(
+            let mut req =
                 TransferRequest::new(dataset, 1, priority, Seconds::new(arrival.at.seconds()))
-                    .with_tenant(TenantId(arrival.tenant)),
-            );
+                    .with_tenant(TenantId(arrival.tenant));
+            if let Some(deadline) = arrival.deadline {
+                req = req.with_deadline(deadline);
+            }
+            sched.submit(req);
         }
         sched.run()
     };
@@ -940,6 +949,7 @@ pub fn requests_per_sec_cases() -> Vec<report_file::BenchCase> {
             },
             None,
             false,
+            0.0,
         )
         .admission
         .expect("open loop")
@@ -971,6 +981,7 @@ pub fn requests_per_sec_cases() -> Vec<report_file::BenchCase> {
             },
             None,
             false,
+            0.0,
         )
         .admission
         .expect("open loop")
@@ -1012,6 +1023,7 @@ pub fn requests_per_sec_cases() -> Vec<report_file::BenchCase> {
                 downtime: Vec::new(),
             }),
             false,
+            0.0,
         )
         .admission
         .expect("open loop")
@@ -1043,6 +1055,7 @@ pub fn requests_per_sec_cases() -> Vec<report_file::BenchCase> {
             },
             None,
             true,
+            0.0,
         )
         .admission
         .expect("open loop")
@@ -1053,6 +1066,61 @@ pub fn requests_per_sec_cases() -> Vec<report_file::BenchCase> {
         result: sjf,
         metrics: None,
     });
+
+    // Deadline-aware admission at two slacks: each admitted request holds
+    // about 17.2 s of track time, so a slack of 1e3 s (plus up to 50%
+    // jitter) holds the backlog about 80 deep and 1e5 s about 6,000 deep.
+    // The deadline check runs on every arrival; a check that walked the
+    // backlog made the deep run cost about 37× the shallow one per arrival.
+    let deadline_arrivals = if harness::fast_mode() {
+        25_000
+    } else {
+        100_000
+    };
+    let deadline_run = |slack: f64| {
+        let admission = open_loop_run(
+            Policy::PriorityFifo,
+            deadline_arrivals,
+            64,
+            AdmissionSpec {
+                max_pending_global: 1 << 16,
+                max_pending_per_tenant: 1 << 16,
+                policy: OverloadPolicy::Reject,
+                deadline_aware: true,
+                ..AdmissionSpec::default()
+            },
+            None,
+            false,
+            slack,
+        )
+        .admission
+        .expect("open loop");
+        admission.rejected_deadline + admission.served
+    };
+    let shallow =
+        harness::bench_function("sched/requests_per_sec/deadline_mix", || deadline_run(1e3));
+    let deep = harness::bench_function("sched/requests_per_sec/deadline_mix_deep", || {
+        deadline_run(1e5)
+    });
+    report_rate(&shallow, deadline_arrivals);
+    report_rate(&deep, deadline_arrivals);
+    let depth_ratio = deep.mean_ns / shallow.mean_ns;
+    eprintln!(
+        "sched/requests_per_sec: deadline-aware arrival costs {depth_ratio:.2}x as much at a ~6,000-deep backlog as at a ~80-deep one"
+    );
+    cases.push(BenchCase {
+        result: shallow,
+        metrics: None,
+    });
+    cases.push(BenchCase {
+        result: deep,
+        metrics: None,
+    });
+    assert!(
+        depth_ratio <= 3.0,
+        "deadline-aware admission must not grow with backlog depth: a ~6,000-deep \
+         backlog costs {depth_ratio:.2}x the ~80-deep one per arrival (bound 3x)"
+    );
 
     cases
 }

@@ -998,15 +998,19 @@ impl<'a> Timeline<'a> {
                 // Deadline feasibility at the door: earliest estimated
                 // delivery = wait for the track + serve the whole backlog +
                 // this request's own carts up to the last one docking.
+                // The estimate is monotone in the backlog, so the queue
+                // certifies the decision without re-summing the backlog.
                 let late = spec.deadline_aware
                     && req.deadline.is_some_and(|deadline| {
                         let per_cart = 2.0 * trip + verify_s + req.dwell.seconds();
-                        let deliver_est = arrival_s.max(track_free)
-                            + pending.backlog_service_s()
-                            + carts.saturating_sub(1) as f64 * per_cart
-                            + trip
-                            + verify_s;
-                        deliver_est > deadline.seconds()
+                        pending.backlog_decides(|backlog| {
+                            let deliver_est = arrival_s.max(track_free)
+                                + backlog
+                                + carts.saturating_sub(1) as f64 * per_cart
+                                + trip
+                                + verify_s;
+                            deliver_est > deadline.seconds()
+                        })
                     });
                 let mut degrade = late;
 

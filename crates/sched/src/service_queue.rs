@@ -35,13 +35,20 @@
 //! the verbatim reference pin
 //! ([`reference_service`](crate::reference_service)).
 //!
-//! The deadline-feasibility backlog is the one place admission still walks
-//! the whole pending set: floating-point addition is not associative, so
-//! summing per-entry service times in any order other than admission order
-//! would change admit/reject decisions by a few ULPs. [`ServiceQueue`]
-//! keeps a seq-ordered index ([`ServiceQueue::backlog_service_s`]) that
-//! re-sums in exactly the retired iteration order, keeping the overload
-//! audit byte-identical.
+//! # Why the deadline check does not walk the pending set
+//!
+//! Deadline feasibility hangs off the pending backlog summed in admission
+//! order ([`ServiceQueue::backlog_service_s`], the retired `Vec`
+//! iteration). Floating-point addition is not associative and service pops
+//! remove entries from the middle of that order, so no running sum can
+//! reproduce the fold's bits. A running sum can *certify* the fold's
+//! decision instead: the queue keeps Σ service, Σ |service| and a proven
+//! bound on their rounding error, which with Higham's bound on the fold
+//! (*Accuracy and Stability of Numerical Algorithms*, eq. 4.4) brackets the
+//! fold in an interval. [`ServiceQueue::backlog_decides`] evaluates a
+//! monotone admission predicate at both ends of that interval and walks
+//! the pending set only when they disagree, so every admit/reject decision
+//! stays bit-identical to the fold and the overload audit byte-identical.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -219,6 +226,9 @@ impl PendingArena {
     }
 }
 
+/// Unit roundoff of round-to-nearest `f64` arithmetic, 2⁻⁵³.
+const UNIT_ROUNDOFF: f64 = f64::EPSILON / 2.0;
+
 /// Per-policy service index over arena slots.
 #[derive(Clone, Debug)]
 enum ServiceIndex {
@@ -246,9 +256,13 @@ pub struct ServiceQueue {
     policy: Policy,
     arena: PendingArena,
     index: ServiceIndex,
-    /// Admission-order (seq → slot) index over all classes: drives the
-    /// bit-identical backlog re-sum and admission-order snapshots.
-    by_seq: BTreeMap<u64, u32>,
+    /// Running Σ `service_s` over the live entries, in update order.
+    run_sum: f64,
+    /// Running Σ |`service_s`| (service time may be negative).
+    run_abs: f64,
+    /// Upper bound on the rounding error accumulated in `run_sum` and
+    /// `run_abs`.
+    run_err: f64,
     /// Per-tenant live counts, replacing the retired O(n) filter count.
     tenant_pending: HashMap<u32, usize>,
     /// Last pushed (arrival bits as ordered key, id) for the debug-mode
@@ -274,7 +288,9 @@ impl ServiceQueue {
             policy,
             arena: PendingArena::new(),
             index,
-            by_seq: BTreeMap::new(),
+            run_sum: 0.0,
+            run_abs: 0.0,
+            run_err: 0.0,
             tenant_pending: HashMap::new(),
             #[cfg(debug_assertions)]
             last_key: None,
@@ -319,21 +335,68 @@ impl ServiceQueue {
     /// Pending service-time backlog, summed in admission order — the same
     /// floating-point reduction order as the retired `Vec` iteration
     /// (`Vec::remove` preserves relative order), so deadline-feasibility
-    /// estimates are bit-identical.
+    /// estimates are bit-identical. This walks the whole pending set; the
+    /// serving loop asks [`ServiceQueue::backlog_decides`] instead.
     #[must_use]
     pub fn backlog_service_s(&self) -> f64 {
-        self.by_seq
-            .values()
-            .map(|&slot| self.arena.service_s[slot as usize])
+        self.admission_order()
+            .into_iter()
+            .map(|slot| self.arena.service_s[slot as usize])
             .sum()
+    }
+
+    /// Returns exactly `late(self.backlog_service_s())`, for a `late` that
+    /// is non-decreasing in the backlog, usually without computing the
+    /// backlog.
+    ///
+    /// The admission-order fold `F` of `n` entries satisfies
+    /// |F − Σx| ≤ γₙ₋₁·Σ|x| with γₖ = k·u/(1 − k·u) (Higham, eq. 4.4). The
+    /// running sums R (`run_sum`) and A (`run_abs`) are within E
+    /// (`run_err`) of Σx and Σ|x|, so `F` lies within
+    /// `E + γₙ₋₁·(A + E)` of R. The margin doubles that
+    /// (absorbing the rounding of the bound's own arithmetic) and the
+    /// interval ends are stepped outward one ULP. Round-to-nearest addition
+    /// is monotone, so when `late` agrees at both ends it agrees on every
+    /// value between them, the fold's included. Otherwise — or when a
+    /// running value or the margin is not finite or large enough for the
+    /// fold or the interval ends to overflow — it evaluates `late` on the
+    /// exact fold.
+    pub fn backlog_decides(&self, late: impl Fn(f64) -> bool) -> bool {
+        let k = self.len().saturating_sub(1) as f64 * UNIT_ROUNDOFF;
+        let gamma = k / (1.0 - k);
+        let margin =
+            2.0 * (self.run_err + gamma * (self.run_abs + self.run_err)) + f64::MIN_POSITIVE;
+        let bounded = |v: f64| v.abs() <= f64::MAX / 4.0;
+        if bounded(self.run_sum) && bounded(self.run_abs) && bounded(margin) {
+            let low = late((self.run_sum - margin).next_down());
+            if low == late((self.run_sum + margin).next_up()) {
+                return low;
+            }
+        }
+        late(self.backlog_service_s())
+    }
+
+    /// Folds one entry's service time into (`sign` 1.0) or out of (`sign`
+    /// −1.0) the running sums, after the arena was updated. Each update
+    /// adds u·(|R| + |A|), rounded up, to the error bound; an empty queue
+    /// resets all three to exactly 0.
+    fn account(&mut self, service_s: f64, sign: f64) {
+        if self.arena.is_empty() {
+            (self.run_sum, self.run_abs, self.run_err) = (0.0, 0.0, 0.0);
+            return;
+        }
+        self.run_sum += sign * service_s;
+        self.run_abs += sign * service_s.abs();
+        self.run_err =
+            (self.run_err + UNIT_ROUNDOFF * (self.run_sum.abs() + self.run_abs.abs())).next_up();
     }
 
     /// Live entries in admission order (for snapshots and rebuilds).
     #[must_use]
     pub fn entries(&self) -> Vec<ServiceEntry> {
-        self.by_seq
-            .values()
-            .map(|&slot| self.arena.entry_at(slot as usize))
+        self.admission_order()
+            .into_iter()
+            .map(|slot| self.arena.entry_at(slot as usize))
             .collect()
     }
 
@@ -360,23 +423,36 @@ impl ServiceQueue {
         let tenant = entry.req.tenant.0;
         let handle = self.arena.insert(entry);
         let slot = handle.index;
-        let seq = self.arena.seqs[slot as usize];
         match &mut self.index {
             ServiceIndex::Fifo { rings } => rings[class].push_back(slot),
             ServiceIndex::Sjf { by_size, by_seq } => {
                 by_size[class].insert((entry.carts, entry.id.0), slot);
-                by_seq[class].insert(seq, slot);
+                by_seq[class].insert(self.arena.seqs[slot as usize], slot);
             }
         }
-        self.by_seq.insert(seq, slot);
+        self.account(entry.service_s, 1.0);
         *self.tenant_pending.entry(tenant).or_insert(0) += 1;
         handle
+    }
+
+    /// Live slots in admission order, built on demand. Each class's index
+    /// already holds its slots in admission order, so this concatenates
+    /// three ascending runs, which the run-detecting stable sort merges in
+    /// linear time.
+    fn admission_order(&self) -> Vec<u32> {
+        let mut slots: Vec<u32> = match &self.index {
+            ServiceIndex::Fifo { rings } => rings.iter().flatten().copied().collect(),
+            ServiceIndex::Sjf { by_seq, .. } => {
+                by_seq.iter().flat_map(BTreeMap::values).copied().collect()
+            }
+        };
+        slots.sort_by_key(|&slot| self.arena.seqs[slot as usize]);
+        slots
     }
 
     /// Detaches a slot from every index and frees its arena storage.
     fn detach(&mut self, slot: u32) -> ServiceEntry {
         let i = slot as usize;
-        let seq = self.arena.seqs[i];
         let class = class_of(self.arena.priorities[i]);
         match &mut self.index {
             ServiceIndex::Fifo { rings } => {
@@ -393,15 +469,16 @@ impl ServiceQueue {
             }
             ServiceIndex::Sjf { by_size, by_seq } => {
                 by_size[class].remove(&(self.arena.carts[i], self.arena.ids[i].0));
-                by_seq[class].remove(&seq);
+                by_seq[class].remove(&self.arena.seqs[i]);
             }
         }
-        self.by_seq.remove(&seq);
         let tenant = self.arena.tenants[i].0;
         if let Some(count) = self.tenant_pending.get_mut(&tenant) {
             *count = count.saturating_sub(1);
         }
-        self.arena.remove(slot)
+        let entry = self.arena.remove(slot);
+        self.account(entry.service_s, -1.0);
+        entry
     }
 
     /// Serves the best pending entry: highest priority class; within it the

@@ -10,7 +10,12 @@
 //! observable: popped entry, shed victim (including `None`), length,
 //! per-tenant pending counts, and the floating-point backlog sum (which
 //! must match to the last bit because deadline admission decisions hang off
-//! it).
+//! it). At every step the certified deadline check
+//! ([`ServiceQueue::backlog_decides`]) must also give the same answer as a
+//! threshold test on the reference fold, including at exact ties, one ULP
+//! either side, on signed service times, and once service times overflow.
+
+use std::cell::Cell;
 
 use dhl_sched::admission::TenantId;
 use dhl_sched::placement::DatasetId;
@@ -37,12 +42,33 @@ fn priority_of(v: u64) -> Priority {
     }
 }
 
+/// The service-time shapes the lock-step driver draws.
+#[derive(Copy, Clone, Debug)]
+enum Service {
+    /// Non-negative dwell.
+    Plain,
+    /// Dwell in [-30, 6] s, which `validate` accepts: service times of both
+    /// signs, so the running sums cancel.
+    Signed,
+    /// One entry in 40 dwells 1e307 s on 36 carts (service time overflows
+    /// to ∞) and one in 40 dwells 1e306 s (finite, but two of them take
+    /// Σ |service| past the certified range).
+    Overflowing,
+}
+
 /// Builds the next admitted entry: arrivals advance monotonically (often
 /// staying put, so equal-arrival id ties are common — the FIFO tiebreak the
 /// retired scan resolved by id), cart counts span 1..=40 so SJF keys
 /// collide and split, and a slice of pushes is degraded to Background the
-/// way `DegradeToBestEffort` admission does.
-fn next_entry(rng: &mut u64, next_id: &mut u64, arrival: &mut f64, tenants: u64) -> ServiceEntry {
+/// way `DegradeToBestEffort` admission does. `Service::Plain` draws no
+/// extra values, so its stream is the one the suites always pinned.
+fn next_entry(
+    rng: &mut u64,
+    next_id: &mut u64,
+    arrival: &mut f64,
+    tenants: u64,
+    service: Service,
+) -> ServiceEntry {
     let id = RequestId(*next_id);
     *next_id += 1;
     // ~40% of arrivals share the previous instant.
@@ -54,8 +80,17 @@ fn next_entry(rng: &mut u64, next_id: &mut u64, arrival: &mut f64, tenants: u64)
     if degraded {
         priority = Priority::Background;
     }
-    let carts = 1 + (xorshift(rng) % 40) as usize;
-    let dwell = (xorshift(rng) % 4) as f64 * 1.5;
+    let mut carts = 1 + (xorshift(rng) % 40) as usize;
+    let mut dwell = (xorshift(rng) % 4) as f64 * 1.5;
+    match service {
+        Service::Plain => {}
+        Service::Signed => dwell = (xorshift(rng) % 9) as f64 * 4.5 - 30.0,
+        Service::Overflowing => match xorshift(rng) % 40 {
+            0 => (carts, dwell) = (36, 1e307),
+            1 => (carts, dwell) = (36, 1e306),
+            _ => {}
+        },
+    }
     let service_s = carts as f64 * (17.2 + dwell);
     ServiceEntry {
         id,
@@ -98,16 +133,111 @@ fn assert_same(popped: Option<ServiceEntry>, expected: Option<ReferencePending>,
     }
 }
 
+/// How often [`check_decides`] saw each path of the certified check.
+#[derive(Default)]
+struct DecideTally {
+    /// Random thresholds, and how many of them the fast path decided.
+    random: usize,
+    random_fast: usize,
+}
+
+/// The number of `late` evaluations that marks the fast path: one at each
+/// end of the certified interval.
+const FAST_CALLS: usize = 2;
+
+/// Checks `backlog_decides(|b| b > t)` against the reference fold for a
+/// threshold drawn at random around the fold, one drawn from the fold itself
+/// and one ULP either side of it (which the certified interval straddles,
+/// so they exercise the exact path), and -0.0 when the queue is empty.
+fn check_decides(
+    indexed: &ServiceQueue,
+    reference: &ReferenceServiceQueue,
+    rng: &mut u64,
+    tally: &mut DecideTally,
+    ctx: &str,
+) {
+    let fold = reference.backlog_service_s();
+    let decide = |t: f64| {
+        let calls = Cell::new(0usize);
+        let got = indexed.backlog_decides(|b| {
+            calls.set(calls.get() + 1);
+            b > t
+        });
+        assert_eq!(
+            got,
+            fold > t,
+            "{ctx}: decision at threshold {t:e} (fold {fold:e})"
+        );
+        calls.get()
+    };
+
+    let r = (xorshift(rng) % 2001) as f64 - 1000.0;
+    let t = if fold.is_finite() {
+        fold + r * 1e-3 * fold.abs().max(1.0)
+    } else {
+        r
+    };
+    tally.random += 1;
+    if decide(t) == FAST_CALLS {
+        tally.random_fast += 1;
+    }
+    if fold.is_finite() {
+        match xorshift(rng) % 3 {
+            0 => assert_ne!(decide(fold), FAST_CALLS, "{ctx}: tie took the fast path"),
+            1 => _ = decide(fold.next_up()),
+            _ => _ = decide(fold.next_down()),
+        }
+    } else {
+        // A non-finite backlog leaves nothing to certify with.
+        assert_eq!(decide(fold), 1, "{ctx}: non-finite backlog not folded");
+    }
+    if indexed.is_empty() {
+        decide(-0.0);
+    }
+}
+
 /// Drives both structures in lock-step for `steps` operations and checks
 /// every observable after each one. `snapshot_at` injects a mid-drain
 /// entries()/from_entries round-trip of the indexed queue, modelling the
 /// checkpoint path.
 fn run_lockstep(policy: Policy, seed: u64, steps: usize, tenants: u64, snapshot_at: Option<usize>) {
+    let tally = run_lockstep_with(policy, seed, steps, tenants, snapshot_at, Service::Plain);
+    assert_fast_path_common(&tally, &format!("{policy:?} seed {seed}"));
+}
+
+/// The fast path must decide nearly every random threshold on finite
+/// workloads.
+fn assert_fast_path_common(tally: &DecideTally, ctx: &str) {
+    assert!(
+        tally.random_fast * 100 >= tally.random * 95,
+        "{ctx}: fast path decided only {} of {} random thresholds",
+        tally.random_fast,
+        tally.random
+    );
+}
+
+/// [`run_lockstep`] over service times of the given shape, returning how
+/// the certified check's paths were taken.
+fn run_lockstep_with(
+    policy: Policy,
+    seed: u64,
+    steps: usize,
+    tenants: u64,
+    snapshot_at: Option<usize>,
+    service: Service,
+) -> DecideTally {
     let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    // A separate stream for thresholds keeps the workload's own stream
+    // exactly as it was.
+    let mut t_rng = rng ^ 0x5851_f42d_4c95_7f2d;
+    let mut tally = DecideTally::default();
+    let ctx =
+        |step: &dyn std::fmt::Display| format!("{service:?} {policy:?} step {step} seed {seed}");
     let mut indexed = ServiceQueue::new(policy);
     let mut reference = ReferenceServiceQueue::new();
     let mut next_id = 0u64;
     let mut arrival = 0.0f64;
+    check_decides(&indexed, &reference, &mut t_rng, &mut tally, &ctx(&"start"));
 
     for step in 0..steps {
         if Some(step) == snapshot_at {
@@ -126,7 +256,7 @@ fn run_lockstep(policy: Policy, seed: u64, steps: usize, tenants: u64, snapshot_
             // Admission burst: push 1–4 entries.
             0..=4 => {
                 for _ in 0..=(xorshift(&mut rng) % 4) {
-                    let entry = next_entry(&mut rng, &mut next_id, &mut arrival, tenants);
+                    let entry = next_entry(&mut rng, &mut next_id, &mut arrival, tenants, service);
                     indexed.push(entry);
                     reference.push(to_reference(entry));
                 }
@@ -156,6 +286,7 @@ fn run_lockstep(policy: Policy, seed: u64, steps: usize, tenants: u64, snapshot_
             reference.tenant_pending(probe),
             "tenant_pending step {step}"
         );
+        check_decides(&indexed, &reference, &mut t_rng, &mut tally, &ctx(&step));
     }
 
     // Full drain: the tail order must match too.
@@ -164,10 +295,12 @@ fn run_lockstep(policy: Policy, seed: u64, steps: usize, tenants: u64, snapshot_
         let want = reference.pop_next(policy);
         let done = got.is_none();
         assert_same(got, want, &format!("drain seed {seed}"));
+        check_decides(&indexed, &reference, &mut t_rng, &mut tally, &ctx(&"drain"));
         if done {
             break;
         }
     }
+    tally
 }
 
 #[test]
@@ -198,6 +331,60 @@ fn mid_drain_snapshot_rebuild_keeps_matching() {
             run_lockstep(policy, seed, 1_500, 4, Some(700 + seed as usize));
         }
     }
+}
+
+#[test]
+fn signed_service_times_match_reference() {
+    for &policy in &[Policy::PriorityFifo, Policy::ShortestJobFirst] {
+        for seed in 0..6 {
+            let tally = run_lockstep_with(policy, seed, 2_000, 4, Some(900), Service::Signed);
+            assert_fast_path_common(&tally, &format!("signed {policy:?} seed {seed}"));
+        }
+    }
+}
+
+/// Once an ∞ service time is admitted the running sums stop being finite;
+/// every decision must then come from the exact fold, without a panic, and
+/// the queue must recover the fast path after it drains.
+#[test]
+fn overflowing_service_times_fall_back_to_the_fold() {
+    for &policy in &[Policy::PriorityFifo, Policy::ShortestJobFirst] {
+        for seed in 0..4 {
+            let tally = run_lockstep_with(policy, seed, 1_000, 4, None, Service::Overflowing);
+            assert!(
+                tally.random_fast < tally.random,
+                "{policy:?} seed {seed}: overflow never reached the fallback"
+            );
+        }
+    }
+    let mut q = ServiceQueue::new(Policy::PriorityFifo);
+    let (mut rng, mut next_id, mut arrival) = (7u64, 0u64, 0.0f64);
+    let mut entry = next_entry(&mut rng, &mut next_id, &mut arrival, 4, Service::Plain);
+    entry.service_s = f64::INFINITY;
+    q.push(entry);
+    q.push(next_entry(
+        &mut rng,
+        &mut next_id,
+        &mut arrival,
+        4,
+        Service::Plain,
+    ));
+    assert!(q.backlog_decides(|b| b > 1e300));
+    while q.pop_next().is_some() {}
+    q.push(next_entry(
+        &mut rng,
+        &mut next_id,
+        &mut arrival,
+        4,
+        Service::Plain,
+    ));
+    let calls = Cell::new(0usize);
+    let late = q.backlog_decides(|b| {
+        calls.set(calls.get() + 1);
+        b > 1e9
+    });
+    assert!(!late);
+    assert_eq!(calls.get(), FAST_CALLS, "an emptied queue certifies again");
 }
 
 /// End-to-end equivalence: the full open-loop scheduler (now serving from
