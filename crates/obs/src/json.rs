@@ -167,6 +167,7 @@ impl std::error::Error for JsonError {}
 /// [`JsonError`] on malformed input or trailing non-whitespace.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -180,6 +181,7 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -288,13 +290,22 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one go. Both
+            // are ASCII, so the run ends on a char boundary; so does every
+            // escape below that succeeds, hence the run also starts on one.
+            let start = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // A backslash: decode one escape.
                     self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
                     self.pos += 1;
@@ -323,42 +334,34 @@ impl Parser<'_> {
                         _ => return Err(self.err("invalid escape")),
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|_| self.err("invalid utf-8"))?,
-                    );
-                }
             }
         }
     }
 
     fn number(&mut self) -> Result<JsonValue, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        // Plain unsigned integers stay exact: f64 silently rounds above
+        // 2^53, which would corrupt u64 counters on a round trip. A leading
+        // digit run is accumulated as it is scanned; `None` past u64::MAX.
+        let mut exact = Some(0u64);
+        while let Some(digit @ b'0'..=b'9') = self.peek() {
+            exact = exact.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(digit - b'0')));
             self.pos += 1;
         }
+        let more = matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+        if let (false, Some(n)) = (more, exact) {
+            return Ok(JsonValue::UInt(n));
+        }
+        // A sign, fraction or exponent (or an all-digit overflow): the
+        // whole numeric run goes to the f64 parser.
         while matches!(
             self.peek(),
             Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        // Plain unsigned integers stay exact: f64 silently rounds above
-        // 2^53, which would corrupt u64 counters on a round trip.
-        if text.bytes().all(|b| b.is_ascii_digit()) {
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(JsonValue::UInt(n));
-            }
-        }
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| self.err("invalid number"))
     }
@@ -515,6 +518,76 @@ mod tests {
             .collect();
         assert_eq!(back, buckets);
         assert_eq!(parse(&v.to_json_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn escapes_interleave_with_multibyte_runs() {
+        let v = parse(r#""é\n✓\"𝄞\u00e9x\/""#).unwrap();
+        assert_eq!(v.as_str(), Some("é\n✓\"𝄞éx/"));
+        assert_eq!(
+            parse(r#""\u0041\u00DF\u2713\ud834""#).unwrap().as_str(),
+            Some("Aß✓\u{fffd}")
+        );
+        // Raw control characters inside strings are accepted as they are.
+        assert_eq!(parse("\"a\tb\u{1}\"").unwrap().as_str(), Some("a\tb\u{1}"));
+        let mut out = String::new();
+        write_escaped(&mut out, "ü\"é\\✓\n");
+        assert_eq!(parse(&out).unwrap().as_str(), Some("ü\"é\\✓\n"));
+    }
+
+    #[test]
+    fn string_errors_report_offset_and_message() {
+        for (src, offset, message) in [
+            ("\"ab", 3, "unterminated string"),
+            ("\"é\\", 4, "unterminated escape"),
+            ("\"\\q\"", 3, "invalid escape"),
+            ("\"\\é\"", 3, "invalid escape"),
+            ("\"\\u12\"", 3, "truncated \\u escape"),
+            ("\"\\u00é\"", 3, "invalid \\u escape"),
+            ("\"\\u000é\"", 3, "truncated \\u escape"),
+            ("\"\\u12g4\"", 3, "invalid \\u escape"),
+            ("\"✓\\u00", 6, "truncated \\u escape"),
+        ] {
+            let e = parse(src).unwrap_err();
+            assert_eq!((e.offset, e.message.as_str()), (offset, message), "{src:?}");
+        }
+    }
+
+    #[test]
+    fn integers_stay_exact_up_to_u64_max() {
+        assert_eq!(parse("007").unwrap(), JsonValue::UInt(7));
+        assert_eq!(parse("0").unwrap(), JsonValue::UInt(0));
+        assert_eq!(
+            parse("18446744073709551615").unwrap(),
+            JsonValue::UInt(u64::MAX)
+        );
+        // Past u64::MAX the last add (…616) or multiply (…620) overflows,
+        // and the text is read as an f64 instead.
+        for wide in ["18446744073709551616", "18446744073709551620"] {
+            assert_eq!(
+                parse(wide).unwrap(),
+                JsonValue::Number(18_446_744_073_709_551_616.0)
+            );
+        }
+        assert_eq!(parse("[12,3]").unwrap(), parse("[ 12 , 3 ]").unwrap());
+        assert_eq!(parse("12.5").unwrap(), JsonValue::Number(12.5));
+        assert_eq!(parse("1E2").unwrap(), JsonValue::Number(100.0));
+        for (src, offset, message) in [
+            ("-", 1, "invalid number"),
+            ("1e", 2, "invalid number"),
+            ("1-2", 3, "invalid number"),
+            ("", 0, "expected a value"),
+            ("[1,-]", 4, "invalid number"),
+        ] {
+            let e = parse(src).unwrap_err();
+            assert_eq!((e.offset, e.message.as_str()), (offset, message), "{src:?}");
+        }
+    }
+
+    #[test]
+    fn duplicate_keys_keep_the_last_value() {
+        let v = parse(r#"{"a":1,"b":2,"a":{"c":3}}"#).unwrap();
+        assert_eq!(v.to_json_string(), r#"{"a":{"c":3},"b":2}"#);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! - dock and undock each take their configured (pessimistic 3 s) time.
 
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 use dhl_obs::{MetricsRegistry, Stopwatch};
 use dhl_rng::{DeterministicRng, Rng};
@@ -325,6 +326,10 @@ pub struct DhlSystem {
     /// slot write, never a name lookup. Re-registered whenever `metrics`
     /// is replaced (`set_metrics_enabled`, checkpoint resume).
     pub(crate) handles: SimMetrics,
+    /// [`crate::config_fingerprint`] of `cfg`, computed on the first
+    /// checkpoint or resume rather than in `new`, which most runs never
+    /// follow with either.
+    fingerprint: OnceLock<u64>,
 }
 
 impl DhlSystem {
@@ -415,7 +420,16 @@ impl DhlSystem {
             run_watch: None,
             metrics,
             handles,
+            fingerprint: OnceLock::new(),
         })
+    }
+
+    /// The configuration fingerprint checkpoints carry, computed once per
+    /// system (the configuration never changes after `new`).
+    pub(crate) fn fingerprint(&self) -> u64 {
+        *self
+            .fingerprint
+            .get_or_init(|| crate::checkpoint::config_fingerprint(&self.cfg))
     }
 
     /// The observability registry (metrics accumulate across runs).
