@@ -129,21 +129,6 @@ where
         .collect()
 }
 
-/// The thread count [`sweep_auto`] uses: the `DHL_SIM_THREADS` environment
-/// variable if set to a positive integer, otherwise the machine's available
-/// parallelism.
-#[must_use]
-pub fn auto_threads() -> usize {
-    if let Ok(v) = std::env::var("DHL_SIM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 /// Parallel variant of [`sweep`] for large grids: splits the cartesian
 /// product across threads with `std::thread::scope`. Result order matches
 /// [`sweep`] exactly for any thread count.
@@ -166,17 +151,6 @@ pub fn sweep_parallel(
     chunked_map(points, threads, |(v, l, n)| {
         DsePoint::evaluate(DhlConfig::with_ssd_count(v, l, n), dataset)
     })
-}
-
-/// [`sweep_parallel`] with the ambient thread count ([`auto_threads`]).
-#[must_use]
-pub fn sweep_auto(
-    speeds: &[MetresPerSecond],
-    lengths: &[Metres],
-    ssd_counts: &[u32],
-    dataset: Bytes,
-) -> Vec<DsePoint> {
-    sweep_parallel(speeds, lengths, ssd_counts, dataset, auto_threads())
 }
 
 #[cfg(test)]
@@ -224,19 +198,6 @@ mod tests {
     fn empty_sweep_is_empty() {
         assert!(sweep(&[], &[], &[], paper_dataset()).is_empty());
         assert!(sweep_parallel(&[], &[], &[], paper_dataset(), 4).is_empty());
-        assert!(sweep_auto(&[], &[], &[], paper_dataset()).is_empty());
-    }
-
-    #[test]
-    fn auto_sweep_matches_serial() {
-        let speeds = [MetresPerSecond::new(100.0), MetresPerSecond::new(200.0)];
-        let lengths = [Metres::new(500.0), Metres::new(1000.0)];
-        let counts = [16, 32];
-        assert_eq!(
-            sweep_auto(&speeds, &lengths, &counts, paper_dataset()),
-            sweep(&speeds, &lengths, &counts, paper_dataset()),
-        );
-        assert!(auto_threads() >= 1);
     }
 
     #[test]

@@ -35,8 +35,6 @@
 mod braking;
 mod cart;
 mod error;
-mod halbach;
-mod integrator;
 mod kinematics;
 mod levitation;
 mod lim;
@@ -46,8 +44,6 @@ mod vacuum;
 pub use braking::{BrakingSystem, REGEN_RECOVERY_RANGE};
 pub use cart::{CartMassBudget, CartMassModel};
 pub use error::PhysicsError;
-pub use halbach::HalbachArray;
-pub use integrator::{integrate_trip, Trajectory, TrajectoryPoint, TripScene};
 pub use kinematics::{MotionPhases, TimeModel, TripKinematics};
 pub use levitation::{LevitationModel, LiftDragCurve};
 pub use lim::LinearInductionMotor;

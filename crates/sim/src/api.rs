@@ -16,8 +16,8 @@ use dhl_storage::failure::{FailureModel, RaidConfig};
 
 use crate::config::{EndpointKind, SimConfig};
 use crate::movement::MovementCost;
-use crate::parallel::{ReplicaReport, ReplicaSet};
-use crate::system::{CartId, EndpointId, SimError};
+use crate::parallel::ReplicaSet;
+use crate::system::{CartId, EndpointId};
 
 /// Errors surfaced by the DHL API.
 #[derive(Clone, PartialEq, Debug)]
@@ -112,20 +112,6 @@ impl std::error::Error for ApiError {}
 #[must_use]
 pub fn replicas(cfg: SimConfig, dataset: Bytes) -> ReplicaSet {
     ReplicaSet::new(cfg, dataset)
-}
-
-/// One-call convenience over [`replicas`]: runs `count` seeded replicas on
-/// [`crate::parallel::default_threads`] workers and merges the outcome.
-///
-/// # Errors
-///
-/// The first (by replica index) [`SimError`] any replica produced.
-pub fn run_replica_set(
-    cfg: SimConfig,
-    dataset: Bytes,
-    count: usize,
-) -> Result<ReplicaReport, SimError> {
-    replicas(cfg, dataset).replicas(count).run()
 }
 
 /// Reliability options for the API facade.
